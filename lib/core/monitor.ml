@@ -162,7 +162,10 @@ let create ?(variant = Variant.default) ?(core = 0) ?shared ~proc ~hier () =
       pq_head = 0;
       pq_tail = 0;
       lsu_checks = Queue.create ();
-      bt_translated = Hashtbl.create 4096;
+      (* Only binary translation records translated PCs. *)
+      bt_translated =
+        Hashtbl.create
+          (match variant.Variant.scheme with Variant.Binary_translation -> 4096 | _ -> 1);
       inject_memo = Mem.Intmap.create ~capacity:2048 ();
       memo_tbl = [||];
       memo_n = 0;

@@ -7,11 +7,14 @@
    squash accounting in the timing model; target prediction uses the BTB
    for computed branches and the RAS for returns. *)
 
-type tagged_entry = { mutable tag : int; mutable ctr : int; mutable useful : int }
-
 type t = {
   bimodal : int array;  (* 2-bit counters *)
-  tagged : tagged_entry array array;  (* 3 tables *)
+  (* The three tagged tables as struct-of-arrays: table i's entry j is
+     slot [(i lsl tagged_bits) + j] of each array.  Tag -1 never matches
+     a 9-bit tag. *)
+  tag : int array;
+  ctr : int array;  (* 3-bit counters *)
+  useful : int array;  (* 2-bit counters *)
   history_lengths : int array;
   mutable ghist : int;  (* global history, newest outcome in bit 0 *)
   btb : int array;  (* pc -> target *)
@@ -32,13 +35,14 @@ type t = {
 let bimodal_bits = 13
 let tagged_bits = 10
 let tag_bits = 9
+let tagged_slots = 3 lsl tagged_bits
 
 let create counters =
   {
     bimodal = Array.make (1 lsl bimodal_bits) 2;
-    tagged =
-      Array.init 3 (fun _ ->
-          Array.init (1 lsl tagged_bits) (fun _ -> { tag = -1; ctr = 4; useful = 0 }));
+    tag = Array.make tagged_slots (-1);
+    ctr = Array.make tagged_slots 4;
+    useful = Array.make tagged_slots 0;
     history_lengths = [| 5; 15; 44 |];
     ghist = 0;
     btb = Array.make 4096 0;
@@ -62,9 +66,11 @@ let rec fold_bits h bits acc =
 
 let fold_history ghist len bits = fold_bits (ghist land ((1 lsl len) - 1)) bits 0
 
+(* Slot of table [i]'s entry for [pc] in the [tag]/[ctr]/[useful]
+   arrays. *)
 let tagged_index t i pc =
   let h = fold_history t.ghist t.history_lengths.(i) tagged_bits in
-  ((pc lsr 2) lxor h lxor (i * 0x9E37)) land ((1 lsl tagged_bits) - 1)
+  (i lsl tagged_bits) lor (((pc lsr 2) lxor h lxor (i * 0x9E37)) land ((1 lsl tagged_bits) - 1))
 
 let tagged_tag t i pc =
   let h = fold_history t.ghist t.history_lengths.(i) tag_bits in
@@ -76,15 +82,10 @@ let tagged_tag t i pc =
    recoverable from the index for the price of a re-hash. *)
 let rec provider_from t pc i =
   if i < 0 then -1
-  else if (t.tagged.(i).(tagged_index t i pc)).tag = tagged_tag t i pc then i
+  else if t.tag.(tagged_index t i pc) = tagged_tag t i pc then i
   else provider_from t pc (i - 1)
 
 let provider_index t pc = provider_from t pc 2
-
-let predict_direction t pc =
-  let p = provider_index t pc in
-  if p >= 0 then (t.tagged.(p).(tagged_index t p pc)).ctr >= 4
-  else t.bimodal.((pc lsr 2) land ((1 lsl bimodal_bits) - 1)) >= 2
 
 (* Int-specialized: [Stdlib.max]/[min] are generic-compare calls without
    flambda, and this runs several times per resolved branch. *)
@@ -94,14 +95,13 @@ let clamp (v : int) (lo : int) (hi : int) = if v < lo then lo else if v > hi the
    decrement-useful-and-retry walk). *)
 let rec alloc_entry t pc taken i =
   if i <= 2 then begin
-    let e = t.tagged.(i).(tagged_index t i pc) in
-    if e.useful = 0 then begin
-      e.tag <- tagged_tag t i pc;
-      e.ctr <- (if taken then 4 else 3);
-      e.useful <- 0
+    let e = tagged_index t i pc in
+    if t.useful.(e) = 0 then begin
+      t.tag.(e) <- tagged_tag t i pc;
+      t.ctr.(e) <- (if taken then 4 else 3)
     end
     else begin
-      e.useful <- e.useful - 1;
+      t.useful.(e) <- t.useful.(e) - 1;
       alloc_entry t pc taken (i + 1)
     end
   end
@@ -113,12 +113,12 @@ let rec alloc_entry t pc taken i =
 let update_direction t pc ~taken =
   let p = provider_index t pc in
   let predicted =
-    if p >= 0 then (t.tagged.(p).(tagged_index t p pc)).ctr >= 4
+    if p >= 0 then t.ctr.(tagged_index t p pc) >= 4
     else t.bimodal.((pc lsr 2) land ((1 lsl bimodal_bits) - 1)) >= 2
   in
   (if p >= 0 then begin
-     let e = t.tagged.(p).(tagged_index t p pc) in
-     e.ctr <- clamp (e.ctr + if taken then 1 else -1) 0 7
+     let e = tagged_index t p pc in
+     t.ctr.(e) <- clamp (t.ctr.(e) + if taken then 1 else -1) 0 7
    end
    else begin
      let idx = (pc lsr 2) land ((1 lsl bimodal_bits) - 1) in
@@ -126,15 +126,11 @@ let update_direction t pc ~taken =
    end);
   if predicted <> taken then alloc_entry t pc taken (p + 1)
   else if p >= 0 then begin
-    let e = t.tagged.(p).(tagged_index t p pc) in
-    e.useful <- clamp (e.useful + 1) 0 3
+    let e = tagged_index t p pc in
+    t.useful.(e) <- clamp (t.useful.(e) + 1) 0 3
   end;
   t.ghist <- ((t.ghist lsl 1) lor if taken then 1 else 0) land ((1 lsl 60) - 1);
   predicted = taken
-
-let btb_lookup t pc =
-  let idx = (pc lsr 2) land 4095 in
-  if t.btb_tags.(idx) = pc then Some t.btb.(idx) else None
 
 let btb_update t pc target =
   let idx = (pc lsr 2) land 4095 in

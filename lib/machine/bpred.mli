@@ -7,9 +7,6 @@ type t
 
 val create : Chex86_stats.Counter.group -> t
 
-(** Direction prediction for a conditional at [pc] (no state change). *)
-val predict_direction : t -> int -> bool
-
 (** [resolve t ~pc ~kind ~taken ~target] updates all predictor state and
     returns whether the front-end prediction was correct. *)
 val resolve :
@@ -18,7 +15,3 @@ val resolve :
 (** Push a return address (used for indirect calls, which resolve their
     target through the BTB). *)
 val ras_push : t -> int -> unit
-
-val ras_pop : t -> int
-val btb_lookup : t -> int -> int option
-val btb_update : t -> int -> int -> unit

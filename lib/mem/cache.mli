@@ -30,7 +30,8 @@ val create :
   t
 
 (** [access c ~write addr] returns whether the access hit (main array or
-    victim); misses allocate. *)
+    victim); misses allocate.  Addresses here and below are
+    non-negative: line state marks an empty line with block number -1. *)
 val access : t -> write:bool -> int -> bool
 
 (** Full block number displaced out of the cache (past the victim cache,

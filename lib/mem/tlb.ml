@@ -7,25 +7,23 @@
    metadata (a side table here); the TLB caches it per entry, and entries
    are refreshed when a page first gains a spilled pointer. *)
 
-type entry = {
-  mutable vpn : int;
-  mutable valid : bool;
-  mutable stamp : int;
-  mutable alias_hosting : bool;
-}
-
+(* Struct-of-arrays entry state over [sets * ways] slots, set [s]
+   occupying slots [s * ways .. s * ways + ways - 1]; [vpns] holds -1
+   for an invalid entry (a vpn is [addr lsr page_bits], never
+   negative). *)
 type t = {
   name : string;
-  sets : entry array array;
-  set_bits : int;
+  vpns : int array;
+  stamps : int array;
+  alias_hosting : bool array;
+  ways : int;
+  set_mask : int;  (* sets - 1 *)
   page_table_bits : (int, bool ref) Hashtbl.t;  (* vpn -> alias-hosting *)
   counters : Chex86_stats.Counter.group;
   h_hit : Chex86_stats.Counter.handle;
   h_miss : Chex86_stats.Counter.handle;
   mutable clock : int;
 }
-
-let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 let create ~name ~sets ~ways counters =
   (* Set indexing is [vpn land (sets - 1)], which silently aliases most
@@ -34,11 +32,11 @@ let create ~name ~sets ~ways counters =
     invalid_arg "Tlb.create: sets not a power of 2";
   {
     name;
-    sets =
-      Array.init sets (fun _ ->
-          Array.init ways (fun _ ->
-              { vpn = -1; valid = false; stamp = 0; alias_hosting = false }));
-    set_bits = log2 sets;
+    vpns = Array.make (sets * ways) (-1);
+    stamps = Array.make (sets * ways) 0;
+    alias_hosting = Array.make (sets * ways) false;
+    ways;
+    set_mask = sets - 1;
     page_table_bits = Hashtbl.create 256;
     counters;
     h_hit = Chex86_stats.Counter.handle counters (name ^ ".hit");
@@ -51,6 +49,18 @@ let page_alias_bit t vpn =
   | Some cell -> !cell
   | None -> false
 
+(* Slot holding [vpn] among [i .. stop - 1], or -1.  Top-level
+   recursion: an inner [rec] capturing [vpns]/[vpn] allocates a closure
+   per access without flambda. *)
+let rec find_slot_from (vpns : int array) (vpn : int) stop i =
+  if i >= stop then -1
+  else if vpns.(i) = vpn then i
+  else find_slot_from vpns vpn stop (i + 1)
+
+let find_slot t vpn =
+  let base = (vpn land t.set_mask) * t.ways in
+  find_slot_from t.vpns vpn (base + t.ways) base
+
 (* Mark the page containing [addr] as hosting a spilled pointer alias;
    refresh any cached TLB entry. *)
 let set_alias_hosting t addr =
@@ -58,18 +68,8 @@ let set_alias_hosting t addr =
   (match Hashtbl.find_opt t.page_table_bits vpn with
   | Some cell -> cell := true
   | None -> Hashtbl.add t.page_table_bits vpn (ref true));
-  let idx = vpn land (Array.length t.sets - 1) in
-  Array.iter
-    (fun e -> if e.valid && e.vpn = vpn then e.alias_hosting <- true)
-    t.sets.(idx)
-
-(* Way holding [vpn] in [set], or -1.  Top-level recursion: an inner
-   [rec] capturing [set]/[vpn] allocates a closure per access without
-   flambda. *)
-let rec find_way_from set vpn n i =
-  if i >= n then -1
-  else if set.(i).valid && set.(i).vpn = vpn then i
-  else find_way_from set vpn n (i + 1)
+  let slot = find_slot t vpn in
+  if slot >= 0 then t.alias_hosting.(slot) <- true
 
 (* [lookup_hit t addr] is the per-access timing probe: true on hit.  A
    miss triggers a (modelled) page walk and fills the entry with the
@@ -78,40 +78,36 @@ let rec find_way_from set vpn n i =
 let lookup_hit t addr =
   t.clock <- t.clock + 1;
   let vpn = addr lsr Image.page_bits in
-  let idx = vpn land (Array.length t.sets - 1) in
-  let set = t.sets.(idx) in
-  let n = Array.length set in
-  let way = find_way_from set vpn n 0 in
-  if way >= 0 then begin
-    set.(way).stamp <- t.clock;
+  let slot = find_slot t vpn in
+  if slot >= 0 then begin
+    t.stamps.(slot) <- t.clock;
     Chex86_stats.Counter.incr_handle t.counters t.h_hit;
     true
   end
   else begin
     Chex86_stats.Counter.incr_handle t.counters t.h_miss;
-    let way = ref 0 in
-    for i = 1 to n - 1 do
-      if (not set.(i).valid) && set.(!way).valid then way := i
-      else if set.(i).valid = set.(!way).valid && set.(i).stamp < set.(!way).stamp then
-        way := i
+    (* LRU victim: an invalid entry beats a valid one; among equals the
+       least stamp, the first such slot on ties. *)
+    let vpns = t.vpns and stamps = t.stamps in
+    let base = (vpn land t.set_mask) * t.ways in
+    let way = ref base in
+    for i = base + 1 to base + t.ways - 1 do
+      let vi = vpns.(i) >= 0 and vb = vpns.(!way) >= 0 in
+      if (not vi) && vb then way := i
+      else if vi = vb && stamps.(i) < stamps.(!way) then way := i
     done;
-    let e = set.(!way) in
-    e.vpn <- vpn;
-    e.valid <- true;
-    e.stamp <- t.clock;
-    e.alias_hosting <- page_alias_bit t vpn;
+    vpns.(!way) <- vpn;
+    stamps.(!way) <- t.clock;
+    t.alias_hosting.(!way) <- page_alias_bit t vpn;
     false
   end
 
 (* [lookup t addr] returns [(hit, alias_hosting)].  Wrapper over
    [lookup_hit]: after the probe the entry is guaranteed resident, so the
-   alias bit is re-read from the (just touched or just filled) way. *)
+   alias bit is re-read from the (just touched or just filled) slot. *)
 let lookup t addr =
   let hit = lookup_hit t addr in
-  let vpn = addr lsr Image.page_bits in
-  let set = t.sets.(vpn land (Array.length t.sets - 1)) in
-  let way = find_way_from set vpn (Array.length set) 0 in
-  (hit, set.(way).alias_hosting)
+  (hit, t.alias_hosting.(find_slot t (addr lsr Image.page_bits)))
 
 let alias_hosting_pages t =
   Hashtbl.fold (fun _ cell acc -> if !cell then acc + 1 else acc) t.page_table_bits 0

@@ -876,6 +876,21 @@ let test_smp_insecure_misses_cross_core_uaf () =
   | Smp.Completed -> ()
   | _ -> Alcotest.fail "insecure SMP baseline should complete"
 
+(* Like Simulator.create, Monitor.create keeps its per-run tables in
+   flat arrays (allocated on the major heap), so its minor-heap
+   allocation stays small; a per-entry record table would not.  The
+   count is deterministic, so the bound cannot flake. *)
+let test_monitor_create_allocation () =
+  let proc = Chex86_os.Process.load (simple_program ignore) in
+  let hier = Chex86_mem.Hierarchy.create proc.Chex86_os.Process.counters in
+  let before = Gc.minor_words () in
+  let m = Monitor.create ~proc ~hier () in
+  let bytes = int_of_float (Gc.minor_words () -. before) * (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity m);
+  Alcotest.(check bool)
+    (Printf.sprintf "Monitor.create minor allocation %d B < 32 KB" bytes)
+    true (bytes < 32 * 1024)
+
 let () =
   Alcotest.run "core"
     [
@@ -952,6 +967,11 @@ let () =
           Alcotest.test_case "uninitialized reads" `Quick test_uninitialized_reads;
           Alcotest.test_case "calloc/realloc initialized" `Quick
             test_uninitialized_calloc_realloc;
+        ] );
+      ( "construction",
+        [
+          Alcotest.test_case "monitor create allocation bound" `Quick
+            test_monitor_create_allocation;
         ] );
       ( "smp",
         [

@@ -127,6 +127,42 @@ let check_summary name (expected : Cachetrace.summary) (got : Cachetrace.summary
   chk "mem_bytes" expected.mem_bytes got.mem_bytes;
   chk "writeback_bytes" expected.writeback_bytes got.writeback_bytes
 
+(* The checked-in per-access CSVs are what
+   [chex86_sim trace-gen --seed 1 --count 2000 | chex86_sim trace --cpu P
+   --csv] writes: one row per access with its hit level, so a cache-model
+   change that moves a single access shows here, byte for byte. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_cachetrace_golden_csv () =
+  let trace = Gen.cachetrace ~seed:1 ~n:2000 () in
+  List.iter
+    (fun (name, preset) ->
+      let out = Printf.sprintf "trace_%s.out.csv" name in
+      let result =
+        Out_channel.with_open_bin out (fun csv ->
+            with_preset preset (fun () ->
+                let counters = Counter.create_group () in
+                let hier = Hierarchy.create ~config:preset.Preset.hier counters in
+                Cachetrace.run ~csv ~counters hier (reader_of_string trace)))
+      in
+      (match result with
+      | Error msg -> Alcotest.failf "%s: generated trace rejected: %s" name msg
+      | Ok _ -> ());
+      let golden = Printf.sprintf "golden/trace_%s.csv" name in
+      let expected = String.split_on_char '\n' (read_file golden)
+      and got = String.split_on_char '\n' (read_file out) in
+      let rec first_diff i = function
+        | e :: es, g :: gs -> if e = g then first_diff (i + 1) (es, gs) else Some (i, e, g)
+        | [], [] -> None
+        | e :: _, [] -> Some (i, e, "<end of file>")
+        | [], g :: _ -> Some (i, "<end of file>", g)
+      in
+      match first_diff 1 (expected, got) with
+      | None -> ()
+      | Some (line, e, g) ->
+        Alcotest.failf "%s differs from %s at line %d: expected %S, got %S" out golden line e g)
+    [ ("skylake", Preset.skylake); ("tiny", Preset.tiny) ]
+
 let test_cachetrace_golden_per_preset () =
   let trace = Gen.cachetrace ~seed:1 ~n:5000 () in
   let summaries =
@@ -289,6 +325,7 @@ let () =
             test_cachetrace_error_line_numbers;
           Alcotest.test_case "golden per preset" `Quick
             test_cachetrace_golden_per_preset;
+          Alcotest.test_case "golden per-access CSV" `Quick test_cachetrace_golden_csv;
         ] );
       ( "uoptrace",
         [

@@ -455,6 +455,27 @@ let test_simulator_budget () =
   let r = Simulator.run ~max_insns:1000 sim in
   Alcotest.(check bool) "budget exhausted" true (r.Simulator.outcome = Simulator.Budget_exhausted)
 
+(* Construction keeps its per-run tables (caches, TLB, predictors) in
+   flat int arrays, which are allocated straight on the major heap; a
+   table of per-entry mutable records would put thousands of small
+   blocks on the minor heap instead (about 327 KB under skylake), all
+   promoted at the first minor GC.  Gc.minor_words is deterministic for
+   a fixed construction sequence, so the bound cannot flake. *)
+let test_simulator_create_allocation () =
+  let proc = Chex86_os.Process.load (prog [ Insn.Halt ]) in
+  let preset = Chex86_machine.Preset.skylake in
+  let hooks = Chex86_machine.Hooks.none () in
+  let before = Gc.minor_words () in
+  let sim =
+    Simulator.create ~config:preset.Chex86_machine.Preset.core
+      ~hier_config:preset.Chex86_machine.Preset.hier ~hooks proc
+  in
+  let bytes = int_of_float (Gc.minor_words () -. before) * (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity sim);
+  Alcotest.(check bool)
+    (Printf.sprintf "Simulator.create minor allocation %d B < 32 KB" bytes)
+    true (bytes < 32 * 1024)
+
 let () =
   Alcotest.run "machine"
     [
@@ -487,6 +508,8 @@ let () =
           Alcotest.test_case "commit vs result latency" `Quick
             test_commit_vs_result_latency;
           Alcotest.test_case "budget" `Quick test_simulator_budget;
+          Alcotest.test_case "create allocation bound" `Quick
+            test_simulator_create_allocation;
           Alcotest.test_case "fetch kill-burst carry" `Quick test_fetch_kill_burst_carry;
           Alcotest.test_case "store forwarding past old threshold" `Quick
             test_store_forwarding_survives_old_threshold;

@@ -243,18 +243,24 @@ let test_security_sweep_determinism () =
    neither task results nor merged stats may depend on the job count. *)
 let test_pool_ctx_determinism () =
   let tasks = Array.init 32 (fun i -> Printf.sprintf "task-%02d" i) in
-  let body key (ctx : Pool.ctx) =
-    Alcotest.(check string) "ctx carries the task key" key ctx.Pool.key;
+  (* The body returns the key its ctx carried and the main domain checks
+     it: Alcotest's formatter is not domain-safe, so a check inside a
+     worker domain can race another worker's and crash the test. *)
+  let body _ (ctx : Pool.ctx) =
     let draws = List.init 16 (fun _ -> Rng.int ctx.Pool.rng 1000) in
     List.iter
       (fun v ->
         Counter.incr ~by:v ctx.Pool.counters "drawn.sum";
         Histogram.add (ctx.Pool.histogram "drawn") v)
       draws;
-    draws
+    (ctx.Pool.key, draws)
   in
   let serial, sstats = Pool.map_stats ~jobs:1 ~key:Fun.id body tasks in
   let parallel, pstats = Pool.map_stats ~jobs:4 ~key:Fun.id body tasks in
+  Array.iteri
+    (fun i key -> Alcotest.(check string) "ctx carries the task key" key (fst parallel.(i)))
+    tasks;
+  Alcotest.(check (array string)) "serial ctx carries the task key" tasks (Array.map fst serial);
   Alcotest.(check bool) "identical per-task RNG draws" true (serial = parallel);
   Alcotest.(check (list (pair string int)))
     "identical merged counters"
