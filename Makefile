@@ -27,10 +27,14 @@ bench: build
 # Quick end-to-end sanity: a figure-6 sweep on three representative
 # workloads, sharded over 2 worker domains in batched chunks.
 # Exercises the domain pool, batched dispatch, the memo prefetch, and
-# the stats merge path in one run.
+# the stats merge path in one run; the metrics dump must carry the
+# figure sweep's pool counters.
 smoke: build
+	rm -f /tmp/chex86-smoke-metrics.json
 	CHEX86_WORKLOADS=mcf,canneal,freqmine CHEX86_SCALE=1 \
-		dune exec bench/main.exe -- --jobs 2 --batch-size 2 figure6
+		dune exec bench/main.exe -- --jobs 2 --batch-size 2 \
+		--metrics /tmp/chex86-smoke-metrics.json figure6
+	grep -q '"pool.tasks":' /tmp/chex86-smoke-metrics.json
 
 # Supervision sanity: with deterministic fault injection armed, the
 # sweep must still complete (exit 0, non-empty fault report); the same

@@ -218,7 +218,7 @@ let latest_snapshot dir =
    the accumulated simulation time crosses the minimum window, then
    report aggregate macro-insns/sec. *)
 let measure_pair (w : Chex86_workloads.Bench_spec.t) config =
-  let program = w.build ~scale:Experiments.scale in
+  let program = w.build ~scale:(Experiments.scale ()) in
   let min_seconds = bench_min_seconds () in
   let runs = ref 0
   and insns = ref 0
@@ -333,7 +333,7 @@ let run_bench () =
       [
         ("schema", Json.String "chex86-bench-v1");
         ("index", Json.Int index);
-        ("scale", Json.Int Experiments.scale);
+        ("scale", Json.Int (Experiments.scale ()));
         ("unix_time", Json.Float (Unix.time ()));
         ("hostname", Json.String (Unix.gethostname ()));
         ("min_seconds", Json.Float (bench_min_seconds ()));

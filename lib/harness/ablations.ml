@@ -17,10 +17,9 @@ module W = Chex86_workloads.Workloads
 
 let pointer_workloads = [ "perlbench"; "gcc"; "mcf"; "xalancbmk"; "leela"; "canneal" ]
 
-let scale = Experiments.scale
-
 let run ~tag variant name =
-  Runner.run_workload ~tag ~scale (Runner.Chex variant) (W.find name)
+  Runner.run_workload ~tag ~scale:(Experiments.scale ()) (Runner.Chex variant)
+    (W.find name)
 
 let cap_cache_sweep () =
   let sizes = [ 16; 32; 64; 128; 256 ] in
@@ -169,6 +168,7 @@ let victim_cache_ablation () =
 (* Context sensitivity: enforce only a prefix of the text segment and
    watch injected micro-ops fall while allocations stay tracked. *)
 let scope_sweep () =
+  let scale = Experiments.scale () in
   let fractions = [ 0; 25; 50; 75; 100 ] in
   let rows =
     List.map

@@ -474,12 +474,7 @@ let run_tasks kind tasks =
           (fun _ -> Error (Pool.Crashed { exn = "unknown kind " ^ kind; backtrace = "" }))
           tasks
       | Some fn ->
-        let r, _, _ =
-          Pool.map_stats_supervised_batched
-            ~key:(fun (k, _) -> k)
-            (fun (k, a) ctx -> fn ~key:k ~arg:a ctx)
-            tasks
-        in
+        let r, _, _ = Pool.run ~key:fst (fun (k, a) ctx -> fn ~key:k ~arg:a ctx) tasks in
         r
   with
   | r -> Array.map (function Ok s -> Ok s | Error f -> Error (faults f)) r

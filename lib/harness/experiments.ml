@@ -6,19 +6,33 @@
    prose (e.g. "59% faster than ASan on SPEC").  EXPERIMENTS.md records
    the paper-vs-measured comparison produced from these.
 
-   All the sweeps here go through the batched dispatch path
+   All the sweeps here go through one dispatch path
    (Runner.prefetch_supervised / Security.sweep_stats_supervised ride on
-   Pool.map_*_batched), so --jobs/--batch-size apply uniformly and the
-   rendered output is bit-identical at any (jobs, batch) geometry. *)
+   Pool.run), so --jobs/--batch-size apply uniformly and the rendered
+   output is bit-identical at any (jobs, batch) geometry. *)
 
 module Render = Chex86_stats.Render
 module Counter = Chex86_stats.Counter
 module W = Chex86_workloads.Workloads
 
-let scale =
-  match Sys.getenv_opt "CHEX86_SCALE" with
-  | Some s -> ( try max 1 (int_of_string s) with _ -> 1)
-  | None -> 1
+(* CHEX86_SCALE=N scales every workload; a value that is not an
+   integer >= 1 is an error, never a silent scale 1 (a mistyped value
+   would otherwise render every figure at the wrong scale). *)
+let parse_scale = function
+  | None | Some "" -> Ok 1
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (Printf.sprintf "CHEX86_SCALE: not an integer >= 1: %S" s))
+
+(* Read where it is used, not at module initialisation, so the error
+   surfaces in the run that asked for a scale. *)
+let scale () =
+  match parse_scale (Sys.getenv_opt "CHEX86_SCALE") with
+  | Ok n -> n
+  | Error msg ->
+    Printf.eprintf "%s\n%!" msg;
+    exit 2
 
 (* CHEX86_WORKLOADS=mcf,canneal,freqmine trims every figure's sweep to
    the named workloads (smoke runs / make check); default is all 14.
@@ -162,6 +176,7 @@ let figure1 () =
 
 let figure3 () =
   let workloads = workloads () in
+  let scale = scale () in
   let report =
     Runner.prefetch_supervised
       (List.map
@@ -217,6 +232,7 @@ let fig6_configs =
    numbers instead of killing both targets. *)
 let fig6_runs () =
   let workloads = workloads () in
+  let scale = scale () in
   let report =
     Runner.prefetch_supervised
       (List.concat_map
@@ -351,6 +367,7 @@ let cap_miss_rate counters =
 
 let figure7 () =
   let workloads = workloads () in
+  let scale = scale () in
   let report =
     Runner.prefetch_supervised
       (List.concat_map
@@ -424,6 +441,7 @@ let predictor_variant entries =
 
 let figure8 () =
   let workloads = workloads () in
+  let scale = scale () in
   let report =
     Runner.prefetch_supervised
       (List.concat_map
@@ -493,6 +511,7 @@ let mb bytes = float_of_int bytes /. (1024. *. 1024.)
 
 let figure9 () =
   let workloads = workloads () in
+  let scale = scale () in
   let freq = 3.4e9 in
   let report =
     Runner.prefetch_supervised

@@ -4,7 +4,13 @@
     paper quotes in prose. Scale via the CHEX86_SCALE environment
     variable (default 1). *)
 
-val scale : int
+(** Pure CHEX86_SCALE parsing: unset or empty is 1; anything that is
+    not an integer >= 1 is an [Error] quoting the value. *)
+val parse_scale : string option -> (int, string) result
+
+(** The workload scale factor from CHEX86_SCALE, read on every call; an
+    invalid value prints the {!parse_scale} error and exits 2. *)
+val scale : unit -> int
 
 (** Pure CHEX86_WORKLOADS resolution: the subset of [all] named by the
     comma-separated [spec] (all of them for an empty spec). Unknown

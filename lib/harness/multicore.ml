@@ -9,7 +9,8 @@
 module Render = Chex86_stats.Render
 
 let run_one ~threads variant =
-  let program = Chex86_workloads.Parallel.canneal_mt ~threads ~scale:Experiments.scale in
+  let scale = Experiments.scale () in
+  let program = Chex86_workloads.Parallel.canneal_mt ~threads ~scale in
   Chex86.Smp.run ~variant ~threads:(Chex86_workloads.Parallel.thread_labels threads)
     program
 

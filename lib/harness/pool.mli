@@ -22,7 +22,7 @@ val set_jobs : int -> unit
 
 val jobs : unit -> int
 
-(** Process-wide batch size for the batched maps, set once from the CLI
+(** Process-wide batch size for {!run}, set once from the CLI
     ([--batch-size N]); [None] (the default) means auto-sizing via
     {!auto_batch_size}. Clamped to at least 1. *)
 val set_batch_size : int option -> unit
@@ -38,13 +38,13 @@ val auto_batch_size : jobs:int -> int -> int
     else the process-wide knob, else {!auto_batch_size}. *)
 val resolve_batch : ?batch_size:int -> jobs:int -> int -> int
 
-(** [chunk_ranges ~batch n] is the contiguous [(start, len)] slices the
-    batched maps dispatch, in index order. *)
+(** [chunk_ranges ~batch n] is the contiguous [(start, len)] slices
+    {!run} and the remote dispatch layer hand out, in index order. *)
 val chunk_ranges : batch:int -> int -> (int * int) array
 
 (** Process-wide supervision defaults, set once from the CLI; the
-    [?retries] / [?task_timeout] arguments of the supervised maps
-    override them per sweep. Retries clamp to at least 0. *)
+    [?retries] / [?task_timeout] arguments of {!run} override them per
+    sweep. Retries clamp to at least 0. *)
 val set_retries : int -> unit
 
 val retries : unit -> int
@@ -111,57 +111,15 @@ val merge_snapshots : task_snapshots list -> merged_stats
 
 (** Fold a sweep's merged stats into the [--metrics] accumulator
     ({!Trace.metrics_absorb}); a no-op unless {!Trace.metrics_on}.
-    Every [map_stats*] variant calls this after its merge; sweep
-    drivers that assemble [merged_stats] themselves (the remote
-    dispatch layer) must call it too. *)
+    {!run} calls this after its merge; sweep drivers that assemble
+    [merged_stats] themselves (the remote dispatch layer) must call it
+    too. *)
 val publish_metrics : merged_stats -> unit
 
-(** [map_stats ~key f tasks] is [map], with each task given a private
-    [ctx]; the coordinator merges all per-task stats in task order into
-    the returned [merged_stats]. *)
-val map_stats :
-  ?jobs:int ->
-  key:('a -> string) ->
-  ('a -> ctx -> 'b) ->
-  'a array ->
-  'b array * merged_stats
+(** {2 Supervision}
 
-(** {2 Batched scheduling}
-
-    The batched maps group tasks into contiguous chunks of
-    [?batch_size] (default: the process-wide knob, else
-    {!auto_batch_size}) and dispatch each chunk to one pool slot as a
-    unit: one dispatch and one stats snapshot/merge round per chunk
-    instead of per task, which is what makes `--jobs`-heavy runs of the
-    864-exploit RIPE matrix cheap. RNG streams stay seeded from the
-    *task* key (never the chunk), and chunks are contiguous in index
-    order, so results and merged stats are bit-identical to
-    [--batch-size 1] and to a serial run at any job count — with one
-    documented exception: the [pool.chunks] counter added to batched
-    merged stats records the actual dispatch rounds and therefore
-    varies with the batch geometry (and with [--jobs] under
-    auto-sizing). Determinism comparisons must exclude that one name. *)
-
-(** [map] with chunked dispatch. A task exception is re-raised in the
-    caller (lowest task index wins); its chunk-mates still ran. *)
-val map_batched : ?jobs:int -> ?batch_size:int -> ('a -> 'b) -> 'a array -> 'b array
-
-(** [map_stats] with chunked dispatch: every task of a chunk shares one
-    private counter group/histogram table, snapshotted once per chunk.
-    Merged stats additionally carry [pool.chunks]. *)
-val map_stats_batched :
-  ?jobs:int ->
-  ?batch_size:int ->
-  key:('a -> string) ->
-  ('a -> ctx -> 'b) ->
-  'a array ->
-  'b array * merged_stats
-
-(** {2 Supervised sweeps}
-
-    Fault-tolerant counterparts of [map] / [map_stats]: a crashing or
-    wedged task is contained and classified instead of killing the
-    sweep. Each task gets a bounded retry budget; attempt [i] of task
+    {!run} contains and classifies a crashing or wedged task instead of
+    letting it kill the sweep. Each task gets a bounded retry budget; attempt [i] of task
     [key] re-seeds from [retry_key key i], so retried runs are as
     reproducible as first runs. Wall budgets are cooperative
     ([check_deadline]); instruction budgets ride on the simulation's
@@ -203,7 +161,7 @@ type task_fault = {
 
 type fault_report = {
   tasks : int;
-  chunks : int;  (** dispatch rounds paid (= [tasks] for the unbatched maps) *)
+  chunks : int;  (** dispatch rounds paid (= [tasks] at batch size 1) *)
   ok : int;
   retried_ok : int;  (** tasks that succeeded only after retrying *)
   crashed : int;
@@ -262,54 +220,33 @@ val build_report :
     scheduling-independent. *)
 val fault_counters : fault_report -> Chex86_stats.Counter.group -> unit
 
-(** [map] with per-task supervision; result slots line up with input
-    order. Tasks faulted by the armed {!Faultinject} plan and real
-    crashes/timeouts are both reported here, never re-raised. *)
-val map_supervised :
-  ?jobs:int ->
-  ?retries:int ->
-  ?task_timeout:float ->
-  key:('a -> string) ->
-  ('a -> 'b) ->
-  'a array ->
-  ('b, fault) result array * fault_report
+(** {2 The sweep entry point} *)
 
-(** [map_stats] with per-task supervision. Each attempt gets a fresh
-    private context seeded from its [retry_key]; a faulted attempt's
-    partial stats are discarded wholesale, so merged totals only count
-    completed tasks. The fault counts are folded into the merged
-    counters as [pool.tasks], [pool.ok], [pool.retried_ok],
-    [pool.crashed], [pool.timed_out], [pool.retries_used] (all derived
-    from the per-task classification, hence scheduling-independent). *)
-val map_stats_supervised :
-  ?jobs:int ->
-  ?retries:int ->
-  ?task_timeout:float ->
-  key:('a -> string) ->
-  ('a -> ctx -> 'b) ->
-  'a array ->
-  ('b, fault) result array * merged_stats * fault_report
+(** [run ~key f tasks] computes [f task ctx] for every task and returns
+    the per-task results in input order, the merged stats and the fault
+    report. [?jobs] defaults to {!jobs}, [?batch_size] to {!resolve_batch},
+    [?retries] / [?task_timeout] to the process-wide knobs. An
+    unbatched sweep is [~batch_size:1]; an unsupervised one is
+    [~retries:0] with no timeout set.
 
-(** [map_supervised] with chunked dispatch. Supervision stays per task:
-    a crash or timeout mid-chunk faults exactly the offending task (the
-    remainder of the chunk keeps running), retry budgets and
-    deterministic re-seeding are per task, and the fault report is
-    keyed per task with [report.chunks] recording the dispatch rounds. *)
-val map_supervised_batched :
-  ?jobs:int ->
-  ?batch_size:int ->
-  ?retries:int ->
-  ?task_timeout:float ->
-  key:('a -> string) ->
-  ('a -> 'b) ->
-  'a array ->
-  ('b, fault) result array * fault_report
+    Tasks are grouped into contiguous chunks of the batch size and each
+    chunk is dispatched to one pool slot as a unit. Supervision stays
+    per task: every task runs under {!attempt_task}, so a crash or
+    timeout — real or injected by the armed {!Faultinject} plan — yields
+    an [Error fault] slot for exactly that task, never a re-raise, and
+    its chunk-mates keep running. Each attempt gets a fresh private
+    [ctx] keyed by its {!retry_key}; a faulted attempt's partial stats
+    are discarded wholesale, so the merged totals only count completed
+    tasks. The coordinator merges them in task order, adds the
+    {!fault_counters} and [pool.chunks] (the dispatch rounds paid), and
+    calls {!publish_metrics}.
 
-(** [map_stats_supervised] with chunked dispatch: completed tasks fold
-    into one chunk-level snapshot (faulted attempts still discarded
-    wholesale); merged stats carry the [pool.*] fault counters plus
-    [pool.chunks]. *)
-val map_stats_supervised_batched :
+    Results, merged stats and the report are bit-identical at any
+    [(jobs, batch_size)] and to the serial [~jobs:1 ~batch_size:1] run,
+    with one documented exception: [pool.chunks] (and [report.chunks])
+    varies with the batch geometry, and with [--jobs] under
+    auto-sizing. Determinism comparisons must exclude that one name. *)
+val run :
   ?jobs:int ->
   ?batch_size:int ->
   ?retries:int ->

@@ -1121,11 +1121,9 @@ let job_key j =
   Printf.sprintf "%s/%s/%s/%d/%b/%b/%s" j.j_workload.name (preset_tag ())
     (config_name j.j_config) j.j_scale j.j_timing j.j_profile j.j_tag
 
-(* Simulate the not-yet-memoized jobs on the domain pool and publish the
-   results into the memo in job order; subsequent [run_workload] calls
-   (the serial figure-assembly code) hit the memo.  Each job builds its
-   own program and monitor, so jobs share no state; publishing in job
-   order keeps the memo's insertion order identical to a serial run. *)
+(* The jobs a prefetch still has to run: first occurrence of each key,
+   minus memoized and already-faulted ones.  Each job builds its own
+   program and monitor, so jobs share no state. *)
 let dedup_jobs job_list =
   let seen = Hashtbl.create 16 in
   List.filter
@@ -1224,18 +1222,29 @@ let () =
               ] );
         ]
 
-(* Supervised prefetch: a crashing or wedged job is recorded in the
-   fault table and the rest of the sweep completes (a mid-chunk fault
-   only claims the offending job); healthy results are published to the
-   memo in job order exactly like [prefetch].  With workers configured
-   the jobs run in worker processes instead ([?jobs] is ignored); a
-   lost worker surfaces as a [Pool.Worker_lost] fault on the job that
-   was in flight. *)
+(* Simulate the not-yet-memoized jobs through [Pool.run] and publish
+   the results into the memo in job order; subsequent [run_workload]
+   calls (the serial figure-assembly code) hit the memo, and publishing
+   in job order keeps the memo's insertion order identical to a serial
+   run.  A crashing or wedged job is recorded in the fault table and
+   the rest of the sweep completes (a mid-chunk fault only claims the
+   offending job).  With workers configured the jobs run in worker
+   processes instead ([?jobs] is ignored); a lost worker surfaces as a
+   [Pool.Worker_lost] fault on the job that was in flight. *)
 let prefetch_supervised ?jobs ?batch_size ?retries ?task_timeout job_list =
   let todo = dedup_jobs job_list in
   Trace.with_span ~stage:"sweep"
     [ ("kind", "bench"); ("tasks", string_of_int (Array.length todo)) ]
   @@ fun () ->
+  let publish decode results =
+    Array.iteri
+      (fun i result ->
+        let key = job_key todo.(i) in
+        match result with
+        | Ok v -> ignore (memo_publish key (decode v))
+        | Error fault -> record_fault key fault)
+      results
+  in
   if Remote.enabled () && Array.length todo > 0 then begin
     register_remote ();
     let payloads, _stats, report =
@@ -1243,41 +1252,20 @@ let prefetch_supervised ?jobs ?batch_size ?retries ?task_timeout job_list =
         ~arg:remote_job_arg todo
     in
     ignore jobs;
-    Array.iteri
-      (fun i result ->
-        let key = job_key todo.(i) in
-        match result with
-        | Ok payload ->
-          ignore (memo_publish key (Marshal.from_string payload 0 : run))
-        | Error fault -> record_fault key fault)
-      payloads;
+    publish (fun payload -> (Marshal.from_string payload 0 : run)) payloads;
     report
   end
   else begin
-    let results, report =
-      Pool.map_supervised_batched ?jobs ?batch_size ?retries ?task_timeout ~key:job_key
-        (fun j ->
+    let results, _stats, report =
+      Pool.run ?jobs ?batch_size ?retries ?task_timeout ~key:job_key
+        (fun j _ctx ->
           Pool.check_deadline ();
           run_job j)
         todo
     in
-    Array.iteri
-      (fun i result ->
-        let key = job_key todo.(i) in
-        match result with
-        | Ok run -> ignore (memo_publish key run)
-        | Error fault -> record_fault key fault)
-      results;
+    publish Fun.id results;
     report
   end
-
-let prefetch ?jobs ?batch_size job_list =
-  let todo = dedup_jobs job_list in
-  Trace.with_span ~stage:"sweep"
-    [ ("kind", "bench"); ("tasks", string_of_int (Array.length todo)) ]
-  @@ fun () ->
-  let runs = Pool.map_batched ?jobs ?batch_size run_job todo in
-  Array.iteri (fun i run -> ignore (memo_publish (job_key todo.(i)) run)) runs
 
 (* Test hook: forget every memoized run and recorded fault so a test can
    exercise the cold path repeatedly in one process. Store stats reset

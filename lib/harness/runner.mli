@@ -225,28 +225,25 @@ val job :
 
 val job_key : job -> string
 
-(** Simulate the not-yet-memoized jobs on the domain pool in batched
-    chunks ([?jobs] defaults to [Pool.jobs ()], [?batch_size] to the
-    process-wide knob / auto-sizing) and publish the results into the
-    memo in job order, so the serial figure-assembly code then hits the
-    memo. Results are bit-identical to running the same jobs serially,
-    at any batch size. *)
-val prefetch : ?jobs:int -> ?batch_size:int -> job list -> unit
-
 (** Register the ["bench"] remote task kind (workload lookup by name,
     memo-key fields via a marshalled arg) so prefetches can run in
     worker processes; called by the worker binary at startup and by the
     supervisor before routing. Idempotent. *)
 val register_remote : unit -> unit
 
-(** [prefetch] with per-task supervision: a crashing or wedged job is
-    recorded in the fault table (see {!run_workload_result} /
-    {!faulted_jobs}) and the rest of the sweep — including the faulted
-    job's chunk-mates — completes. Jobs already faulted are not retried
-    by later prefetches sharing the key. When workers are configured
-    ({!Remote.enabled}) the jobs run in worker processes instead
-    ([?jobs] is ignored); a lost worker surfaces as [Pool.Worker_lost]
-    on the in-flight job. *)
+(** Simulate the not-yet-memoized jobs through {!Pool.run} ([?jobs]
+    defaults to [Pool.jobs ()], [?batch_size] to the process-wide knob
+    / auto-sizing, [?retries] / [?task_timeout] to the supervision
+    knobs) and publish the results into the memo in job order, so the
+    serial figure-assembly code then hits the memo. Results are
+    bit-identical to running the same jobs serially, at any batch size.
+    A crashing or wedged job is recorded in the fault table (see
+    {!run_workload_result} / {!faulted_jobs}) and the rest of the sweep
+    — including the faulted job's chunk-mates — completes. Jobs already
+    faulted are not retried by later prefetches sharing the key. When
+    workers are configured ({!Remote.enabled}) the jobs run in worker
+    processes instead ([?jobs] is ignored); a lost worker surfaces as
+    [Pool.Worker_lost] on the in-flight job. *)
 val prefetch_supervised :
   ?jobs:int ->
   ?batch_size:int ->

@@ -227,8 +227,8 @@ let test_sweep_counts_heap_abort_separately () =
   let aborts = temporal Campaign.Double_free ~size:24 ~reuse:0 ~offset:0 in
   let detected = temporal Campaign.Uaf_read ~size:24 ~reuse:0 ~offset:0 in
   let exploits = List.map Campaign.to_exploit [ aborts; detected ] in
-  let _results, stats =
-    Security.sweep_stats ~config:Runner.insecure ~jobs:1 exploits
+  let _results, stats, _ =
+    Security.sweep_stats_supervised ~config:Runner.insecure ~jobs:1 exploits
   in
   let get = counter_of stats in
   Alcotest.(check int) "two evaluations" 2 (get "sweep.total");
@@ -238,7 +238,7 @@ let test_sweep_counts_heap_abort_separately () =
   Alcotest.(check int) "nothing blocked" 0 (get "sweep.blocked");
   Alcotest.(check int) "the UAF completes insecurely" 1 (get "sweep.outcome.completed");
   (* and under protection the same pair is all violations, no aborts *)
-  let _results, stats = Security.sweep_stats ~jobs:1 exploits in
+  let _results, stats, _ = Security.sweep_stats_supervised ~jobs:1 exploits in
   Alcotest.(check int) "both detected" 2 (counter_of stats "sweep.outcome.violation");
   Alcotest.(check int) "allocator never reached" 0
     (counter_of stats "sweep.outcome.heap_abort")

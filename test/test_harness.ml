@@ -176,6 +176,25 @@ let test_resolve_workloads () =
   | Ok ws -> Alcotest.(check (list string)) "strict ok" [ "mcf" ] (names ws)
   | Error e -> Alcotest.fail e
 
+(* CHEX86_SCALE parsing: unset or empty is 1, a positive integer is
+   taken as is, and anything else is an error quoting the value. *)
+let test_parse_scale () =
+  let ok = Alcotest.(result int string) in
+  Alcotest.check ok "unset" (Ok 1) (Experiments.parse_scale None);
+  Alcotest.check ok "empty" (Ok 1) (Experiments.parse_scale (Some ""));
+  Alcotest.check ok "one" (Ok 1) (Experiments.parse_scale (Some "1"));
+  Alcotest.check ok "four" (Ok 4) (Experiments.parse_scale (Some "4"));
+  List.iter
+    (fun bad ->
+      match Experiments.parse_scale (Some bad) with
+      | Ok n -> Alcotest.failf "CHEX86_SCALE=%S accepted as %d" bad n
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "error quotes %S" bad)
+          true
+          (contains ~needle:(Printf.sprintf "%S" bad) msg))
+    [ "abc"; "0"; "-3"; "2.5"; "1x" ]
+
 let test_ablation_tlb_filter () =
   (* The alias-hosting filter can only reduce alias-cache lookups. *)
   let w = W.find "mcf" in
@@ -233,7 +252,19 @@ let test_ablation_victim_cache_helps () =
 
 let test_security_summary () =
   (* Full sweep: every exploit of all three suites blocked. *)
-  let results = Chex86_harness.Security.sweep Chex86_exploits.Exploits.all in
+  let results =
+    let slots, _, _ =
+      Chex86_harness.Security.sweep_stats_supervised Chex86_exploits.Exploits.all
+    in
+    List.map
+      (fun ((e : Chex86_exploits.Exploit.t), r) ->
+        match r with
+        | Ok r -> r
+        | Error f ->
+          Alcotest.failf "%s: %s" e.Chex86_exploits.Exploit.name
+            (Chex86_harness.Pool.fault_to_string f))
+      slots
+  in
   List.iter
     (fun suite ->
       let s = Chex86_harness.Security.summarize suite results in
@@ -272,6 +303,7 @@ let () =
           Alcotest.test_case "figure1 text" `Quick test_figure1_text;
           Alcotest.test_case "workload resolution strictness" `Quick
             test_resolve_workloads;
+          Alcotest.test_case "CHEX86_SCALE parsing" `Quick test_parse_scale;
         ] );
       ( "multicore",
         [

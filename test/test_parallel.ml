@@ -207,13 +207,25 @@ let drop_chunks counters =
 let test_security_sweep_determinism () =
   let subset = List.filteri (fun i _ -> i mod 19 = 0) Chex86_exploits.Exploits.all in
   Alcotest.(check bool) "subset is representative" true (List.length subset >= 40);
-  let serial, sstats = Security.sweep_stats ~jobs:1 ~batch_size:1 subset in
+  let completed slots =
+    List.map
+      (fun (_, r) ->
+        match r with
+        | Ok (r : Security.result) -> r
+        | Error f -> Alcotest.fail (Pool.fault_to_string f))
+      slots
+  in
+  let serial, sstats, _ = Security.sweep_stats_supervised ~jobs:1 ~batch_size:1 subset in
+  let serial = completed serial in
   Alcotest.(check int) "every exploit in the subset blocked"
     (List.length subset)
     (Counter.get sstats.Pool.counters "sweep.blocked");
   List.iter
     (fun batch ->
-      let parallel, pstats = Security.sweep_stats ~jobs:4 ~batch_size:batch subset in
+      let parallel, pstats, _ =
+        Security.sweep_stats_supervised ~jobs:4 ~batch_size:batch subset
+      in
+      let parallel = completed parallel in
       let label what =
         Printf.sprintf "batch=%d: %s" batch what
       in
@@ -239,7 +251,7 @@ let test_security_sweep_determinism () =
         (Counter.get pstats.Pool.counters "pool.chunks"))
     [ 1; 8; 32 ]
 
-(* Pool.map_stats: per-task RNG streams are seeded from the task key, so
+(* Pool.run: per-task RNG streams are seeded from the task key, so
    neither task results nor merged stats may depend on the job count. *)
 let test_pool_ctx_determinism () =
   let tasks = Array.init 32 (fun i -> Printf.sprintf "task-%02d" i) in
@@ -255,8 +267,14 @@ let test_pool_ctx_determinism () =
       draws;
     (ctx.Pool.key, draws)
   in
-  let serial, sstats = Pool.map_stats ~jobs:1 ~key:Fun.id body tasks in
-  let parallel, pstats = Pool.map_stats ~jobs:4 ~key:Fun.id body tasks in
+  let values results =
+    Array.map
+      (function Ok v -> v | Error f -> Alcotest.fail (Pool.fault_to_string f))
+      results
+  in
+  let serial, sstats, _ = Pool.run ~jobs:1 ~batch_size:1 ~key:Fun.id body tasks in
+  let parallel, pstats, _ = Pool.run ~jobs:4 ~batch_size:1 ~key:Fun.id body tasks in
+  let serial = values serial and parallel = values parallel in
   Array.iteri
     (fun i key -> Alcotest.(check string) "ctx carries the task key" key (fst parallel.(i)))
     tasks;
@@ -276,7 +294,8 @@ let test_pool_ctx_determinism () =
 (* Synthetic stats-heavy body shared by the batching tests: RNG draws
    keyed off the task key, folded into counters and a histogram. Any
    scheduling dependence (worker identity, chunk geometry) would show
-   up in the draws or the merged stats. *)
+   up in the draws or the merged stats. Task "task-29" always raises, so
+   a real crash (not only an injected one) is in every run. *)
 let batched_body key (ctx : Pool.ctx) =
   let draws = List.init 12 (fun _ -> Rng.int ctx.Pool.rng 1000) in
   List.iter
@@ -285,51 +304,88 @@ let batched_body key (ctx : Pool.ctx) =
       Counter.incr ctx.Pool.counters ("drawn.bucket." ^ string_of_int (v mod 3));
       Histogram.add (ctx.Pool.histogram "drawn") v)
     draws;
+  if key = "task-29" then failwith "task-29 always crashes";
   (key, draws)
 
-(* qcheck: ANY (jobs, batch_size) pair is byte-identical to the serial
-   jobs=1/batch=1 run — results, merged counters (minus pool.chunks)
-   and merged histograms. *)
-let qcheck_batched_geometry_immaterial =
-  let tasks = Array.init 37 (fun i -> Printf.sprintf "task-%02d" i) in
-  let serial, sstats = Pool.map_stats_batched ~jobs:1 ~batch_size:1 ~key:Fun.id batched_body tasks in
-  QCheck.Test.make ~count:30
-    ~name:"map_stats_batched: any (jobs, batch_size) = serial"
-    QCheck.(pair (int_range 1 6) (int_range 1 48))
-    (fun (jobs, batch) ->
-      let parallel, pstats =
-        Pool.map_stats_batched ~jobs ~batch_size:batch ~key:Fun.id batched_body tasks
-      in
-      serial = parallel
-      && drop_chunks (Counter.to_list sstats.Pool.counters)
-         = drop_chunks (Counter.to_list pstats.Pool.counters)
-      && List.for_all2
-           (fun (na, ha) (nb, hb) -> na = nb && hist_equal ha hb)
-           sstats.Pool.histograms pstats.Pool.histograms
-      && Counter.get pstats.Pool.counters "pool.chunks" = (37 + batch - 1) / batch)
+(* Fault projection that drops backtrace text (it depends on where the
+   exception was caught, not on what faulted). *)
+let fault_shape = function
+  | Pool.Crashed { exn; _ } -> "crashed:" ^ exn
+  | Pool.Timed_out { budget } -> Printf.sprintf "timed_out:%g" budget
+  | Pool.Worker_lost { reason } -> "worker_lost:" ^ reason
 
-(* map_batched agrees with map (values only, no stats plumbing), and a
-   mid-chunk exception still reports the lowest-index failure. *)
-let test_map_batched_basics () =
+let run_shape (results, (stats : Pool.merged_stats), (r : Pool.fault_report)) =
+  ( Array.map (Result.map_error fault_shape) results,
+    drop_chunks (Counter.to_list stats.Pool.counters),
+    List.map (fun (name, h) -> (name, Histogram.sorted h)) stats.Pool.histograms,
+    ( (r.tasks, r.ok, r.retried_ok, r.crashed, r.timed_out, r.worker_lost),
+      (r.retries_used, r.worker_losses) ),
+    List.map
+      (fun (f : Pool.task_fault) -> (f.index, f.key, f.attempts, fault_shape f.fault))
+      r.task_faults )
+
+(* Injected crashes that a retry budget of 1 or 2 recovers, plus one
+   that outlasts every budget: retries change the outcome, so each
+   budget is compared against its own serial run. *)
+let geometry_plan =
+  Chex86_harness.Faultinject.of_list
+    [
+      ("task-03", Chex86_harness.Faultinject.crash ~attempts:1 ());
+      ("task-11", Chex86_harness.Faultinject.crash ~attempts:2 ());
+      ("task-20", Chex86_harness.Faultinject.crash ~attempts:9 ());
+    ]
+
+(* qcheck: ANY (jobs, batch_size, retries) run of Pool.run is
+   byte-identical to the serial jobs=1/batch=1 run at the same retry
+   budget — results, merged counters (minus pool.chunks), merged
+   histograms and the fault report — and pays ceil(n / batch) chunks. *)
+let qcheck_run_geometry_immaterial =
+  let n = 37 in
+  let tasks = Array.init n (fun i -> Printf.sprintf "task-%02d" i) in
+  let run ~jobs ~batch ~retries =
+    Chex86_harness.Faultinject.arm geometry_plan;
+    Fun.protect ~finally:Chex86_harness.Faultinject.disarm (fun () ->
+        Pool.run ~jobs ~batch_size:batch ~retries ~key:Fun.id batched_body tasks)
+  in
+  let serial =
+    Array.init 3 (fun retries -> run_shape (run ~jobs:1 ~batch:1 ~retries))
+  in
+  QCheck.Test.make ~count:30
+    ~name:"run: any (jobs, batch_size, retries) = serial"
+    QCheck.(triple (int_range 1 6) (int_range 1 48) (int_range 0 2))
+    (fun (jobs, batch, retries) ->
+      let ((_, stats, report) as out) = run ~jobs ~batch ~retries in
+      let chunks = (n + batch - 1) / batch in
+      run_shape out = serial.(retries)
+      && Counter.get stats.Pool.counters "pool.chunks" = chunks
+      && report.Pool.chunks = chunks)
+
+(* Result slots stay in input order at any batch size, and a crash
+   mid-chunk faults exactly the crashing tasks: the rest of the chunk
+   still runs, nothing is re-raised. *)
+let test_run_basics () =
   let tasks = Array.init 100 (fun i -> i) in
   List.iter
     (fun batch ->
-      let got = Pool.map_batched ~jobs:4 ~batch_size:batch (fun i -> 3 * i) tasks in
+      let got, _, _ =
+        Pool.run ~jobs:4 ~batch_size:batch ~key:string_of_int (fun i _ -> 3 * i) tasks
+      in
       Alcotest.(check bool)
         (Printf.sprintf "batch=%d order preserved" batch)
         true
-        (got = Array.init 100 (fun i -> 3 * i)))
+        (got = Array.init 100 (fun i -> Ok (3 * i))))
     [ 1; 7; 64; 200 ];
-  let exn =
-    try
-      ignore
-        (Pool.map_batched ~jobs:4 ~batch_size:16
-           (fun i -> if i >= 40 then failwith (string_of_int i) else i)
-           tasks);
-      None
-    with Failure msg -> Some msg
+  let got, _, report =
+    Pool.run ~jobs:4 ~batch_size:16 ~key:string_of_int
+      (fun i _ -> if i mod 40 = 39 then failwith (string_of_int i) else i)
+      tasks
   in
-  Alcotest.(check (option string)) "lowest-index failure reported" (Some "40") exn
+  Alcotest.(check (list int)) "only the crashing tasks faulted" [ 39; 79 ]
+    (List.map (fun (f : Pool.task_fault) -> f.index) report.Pool.task_faults);
+  Alcotest.(check bool) "chunk-mates completed" true
+    (Array.for_all2
+       (fun i r -> match r with Ok v -> v = i | Error _ -> i mod 40 = 39)
+       tasks got)
 
 (* Auto batch sizing: about four chunks per worker, clamped to [1, 64];
    fewer dispatch rounds as the batch grows. *)
@@ -340,7 +396,7 @@ let test_auto_batch_size () =
   Alcotest.(check int) "clamped above" 64 (Pool.auto_batch_size ~jobs:1 100_000);
   let chunks_at batch =
     let tasks = Array.init 64 (fun i -> Printf.sprintf "t%02d" i) in
-    let _, stats = Pool.map_stats_batched ~jobs:2 ~batch_size:batch ~key:Fun.id batched_body tasks in
+    let _, stats, _ = Pool.run ~jobs:2 ~batch_size:batch ~key:Fun.id batched_body tasks in
     Counter.get stats.Pool.counters "pool.chunks"
   in
   Alcotest.(check int) "batch=1 pays one chunk per task" 64 (chunks_at 1);
@@ -640,9 +696,9 @@ let () =
         ] );
       ( "batched",
         [
-          Alcotest.test_case "map_batched basics" `Quick test_map_batched_basics;
+          Alcotest.test_case "run basics" `Quick test_run_basics;
           Alcotest.test_case "auto batch sizing" `Quick test_auto_batch_size;
-          QCheck_alcotest.to_alcotest qcheck_batched_geometry_immaterial;
+          QCheck_alcotest.to_alcotest qcheck_run_geometry_immaterial;
         ] );
       ( "determinism",
         [

@@ -6,8 +6,8 @@
    to the in-process pool.
 
    The baseline for every comparison is the selftest kind's body run
-   through [Pool.map_stats_supervised_batched ~jobs:1]: the exact
-   attempt/ctx path the worker uses, minus the transport. *)
+   through [Pool.run ~jobs:1 ~batch_size:1]: the exact attempt/ctx path
+   the worker uses, minus the transport. *)
 
 module Pool = Chex86_harness.Pool
 module Remote = Chex86_harness.Remote
@@ -28,8 +28,7 @@ let tasks_n n = Array.init n (fun i -> Printf.sprintf "task-%d" i)
 let arg_of _ = "8"
 
 let serial_baseline ?retries ?task_timeout tasks =
-  Pool.map_stats_supervised_batched ~jobs:1 ~batch_size:1 ?retries ?task_timeout
-    ~key:Fun.id
+  Pool.run ~jobs:1 ~batch_size:1 ?retries ?task_timeout ~key:Fun.id
     (fun key ctx -> selftest_fn ~key ~arg:(arg_of key) ctx)
     tasks
 

@@ -33,7 +33,7 @@ let key_of = string_of_int
 (* --- supervision basics --------------------------------------------------- *)
 
 let test_all_ok () =
-  let results, report = Pool.map_supervised ~jobs:3 ~key:key_of (fun x -> x * x) tasks_10 in
+  let results, _, report = Pool.run ~jobs:3 ~key:key_of (fun x _ -> x * x) tasks_10 in
   Array.iteri
     (fun i r -> Alcotest.(check (result int reject)) "squared" (Ok (i * i)) r)
     results;
@@ -45,9 +45,9 @@ let test_all_ok () =
 let test_real_crash_contained () =
   (* A genuine task exception (not injected) is classified with its
      backtrace, and every healthy task still returns. *)
-  let results, report =
-    Pool.map_supervised ~jobs:4 ~key:key_of
-      (fun x -> if x = 6 then failwith "boom" else x + 1)
+  let results, _, report =
+    Pool.run ~jobs:4 ~key:key_of
+      (fun x _ -> if x = 6 then failwith "boom" else x + 1)
       tasks_10
   in
   Array.iteri
@@ -75,10 +75,10 @@ let test_injected_faults_match_plan () =
         ("8", Faultinject.slow 0.3);
       ]
   in
-  let results, report =
+  let results, _, report =
     with_plan plan (fun () ->
-        Pool.map_supervised ~jobs:4 ~task_timeout:0.05 ~key:key_of
-          (fun x ->
+        Pool.run ~jobs:4 ~task_timeout:0.05 ~key:key_of
+          (fun x _ ->
             Pool.check_deadline ();
             x * 10)
           tasks_10)
@@ -115,9 +115,9 @@ let test_retry_recovers_bit_identical () =
         ("9", Faultinject.crash ~attempts:1 ());
       ]
   in
-  let results, report =
+  let results, _, report =
     with_plan plan (fun () ->
-        Pool.map_supervised ~jobs:3 ~retries:1 ~key:key_of f tasks_10)
+        Pool.run ~jobs:3 ~retries:1 ~key:key_of (fun x _ -> f x) tasks_10)
   in
   Array.iteri
     (fun i r ->
@@ -132,9 +132,9 @@ let test_exhausted_retries_fault () =
   (* A crash directive outlasting the retry budget still faults, with
      the attempt count recorded. *)
   let plan = Faultinject.of_list [ ("3", Faultinject.crash ~attempts:5 ()) ] in
-  let _, report =
+  let _, _, report =
     with_plan plan (fun () ->
-        Pool.map_supervised ~jobs:2 ~retries:2 ~key:key_of (fun x -> x) tasks_10)
+        Pool.run ~jobs:2 ~retries:2 ~key:key_of (fun x _ -> x) tasks_10)
   in
   Alcotest.(check int) "crashed" 1 report.Pool.crashed;
   Alcotest.(check int) "retries spent" 2 report.Pool.retries_used;
@@ -151,8 +151,8 @@ let test_supervised_jobs_invariance () =
   in
   let run jobs =
     with_plan plan (fun () ->
-        let results, report =
-          Pool.map_supervised ~jobs ~retries:1 ~key:key_of (fun x -> x * 2) tasks_10
+        let results, _, report =
+          Pool.run ~jobs ~retries:1 ~key:key_of (fun x _ -> x * 2) tasks_10
         in
         (Array.map (Result.map_error fault_shape) results, report_shape report))
   in
@@ -197,9 +197,7 @@ let test_stats_discard_faulted () =
     if x = 4 then failwith "late crash after stats were touched";
     x
   in
-  let results, stats, report =
-    Pool.map_stats_supervised ~jobs:3 ~key:key_of body tasks_10
-  in
+  let results, stats, report = Pool.run ~jobs:3 ~key:key_of body tasks_10 in
   Alcotest.(check int) "one crash" 1 report.Pool.crashed;
   (match results.(4) with
   | Error (Pool.Crashed _) -> ()
@@ -212,42 +210,16 @@ let test_stats_discard_faulted () =
   Alcotest.(check int) "pool.ok" 9 (Counter.get stats.Pool.counters "pool.ok");
   Alcotest.(check int) "pool.crashed" 1 (Counter.get stats.Pool.counters "pool.crashed")
 
-let test_stats_supervised_matches_plain_when_healthy () =
-  (* With no plan armed, the supervised merge equals map_stats' merge
-     plus the pool.* counters. *)
-  let body x (ctx : Pool.ctx) =
-    Counter.incr ~by:x ctx.Pool.counters "t.sum";
-    Chex86_stats.Histogram.add (ctx.Pool.histogram "t.h") x;
-    x
-  in
-  let _, plain = Pool.map_stats ~jobs:2 ~key:key_of body tasks_10 in
-  let _, supervised, _ = Pool.map_stats_supervised ~jobs:2 ~key:key_of body tasks_10 in
-  Alcotest.(check int) "t.sum equal" (Counter.get plain.Pool.counters "t.sum")
-    (Counter.get supervised.Pool.counters "t.sum");
-  let h stats =
-    match List.assoc_opt "t.h" stats.Pool.histograms with
-    | Some h -> (Chex86_stats.Histogram.count h, Chex86_stats.Histogram.max_value h)
-    | None -> (0, 0)
-  in
-  Alcotest.(check (pair int int)) "t.h equal" (h plain) (h supervised);
-  Alcotest.(check int) "pool.ok present" 10
-    (Counter.get supervised.Pool.counters "pool.ok")
-
 (* --- batched supervision --------------------------------------------------- *)
-
-let drop_chunks counters =
-  List.filter (fun (name, _) -> name <> "pool.chunks") counters
 
 let test_batched_mid_chunk_crash_isolated () =
   (* Ten tasks in chunks of five; the plan crashes key "7" (mid second
      chunk). Exactly that task faults — its chunk-mates 5,6,8,9 and the
      whole first chunk complete, and the report is keyed per task. *)
   let plan = Faultinject.of_list [ ("7", Faultinject.crash ()) ] in
-  let results, report =
+  let results, _, report =
     with_plan plan (fun () ->
-        Pool.map_supervised_batched ~jobs:2 ~batch_size:5 ~key:key_of
-          (fun x -> x * 11)
-          tasks_10)
+        Pool.run ~jobs:2 ~batch_size:5 ~key:key_of (fun x _ -> x * 11) tasks_10)
   in
   Array.iteri
     (fun i r ->
@@ -265,44 +237,6 @@ let test_batched_mid_chunk_crash_isolated () =
     (List.map
        (fun (f : Pool.task_fault) -> (f.index, f.key))
        report.Pool.task_faults)
-
-let test_batched_supervised_matches_unbatched () =
-  (* Same plan at several batch sizes: results, merged stats (minus
-     pool.chunks) and the report all equal the unbatched supervised run;
-     retries re-seed per task exactly as before. *)
-  let plan =
-    Faultinject.of_list
-      [ ("2", Faultinject.crash ~attempts:1 ()); ("6", Faultinject.crash ()) ]
-  in
-  let body x (ctx : Pool.ctx) =
-    Counter.incr ~by:x ctx.Pool.counters "t.sum";
-    Chex86_stats.Histogram.add (ctx.Pool.histogram "t.h") x;
-    x + Chex86_stats.Rng.int ctx.Pool.rng 100
-  in
-  let shape (results, (stats : Pool.merged_stats), report) =
-    ( Array.map (Result.map_error fault_shape) results,
-      drop_chunks (Counter.to_list stats.Pool.counters),
-      List.map
-        (fun (name, h) -> (name, Chex86_stats.Histogram.sorted h))
-        stats.Pool.histograms,
-      report_shape report )
-  in
-  let unbatched =
-    with_plan plan (fun () ->
-        shape (Pool.map_stats_supervised ~jobs:3 ~retries:1 ~key:key_of body tasks_10))
-  in
-  List.iter
-    (fun batch ->
-      let batched =
-        with_plan plan (fun () ->
-            shape
-              (Pool.map_stats_supervised_batched ~jobs:3 ~batch_size:batch ~retries:1
-                 ~key:key_of body tasks_10))
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "batch=%d matches unbatched" batch)
-        true (unbatched = batched))
-    [ 1; 3; 10 ]
 
 (* --- security sweep degradation ------------------------------------------ *)
 
@@ -524,9 +458,9 @@ let test_sliced_slow_respects_deadline () =
      out promptly instead of holding its domain for the whole stall. *)
   let plan = Faultinject.of_list [ ("0", Faultinject.slow 30.) ] in
   let t0 = Pool.now () in
-  let results, report =
+  let results, _, report =
     with_plan plan (fun () ->
-        Pool.map_supervised ~jobs:1 ~task_timeout:0.2 ~key:key_of (fun x -> x) [| 0 |])
+        Pool.run ~jobs:1 ~task_timeout:0.2 ~key:key_of (fun x _ -> x) [| 0 |])
   in
   let elapsed = Pool.now () -. t0 in
   Alcotest.(check bool) "timed out promptly, not after the 30s stall" true
@@ -638,14 +572,10 @@ let () =
         [
           Alcotest.test_case "mid-chunk crash isolated" `Quick
             test_batched_mid_chunk_crash_isolated;
-          Alcotest.test_case "batched matches unbatched" `Quick
-            test_batched_supervised_matches_unbatched;
         ] );
       ( "stats",
         [
           Alcotest.test_case "faulted stats discarded" `Quick test_stats_discard_faulted;
-          Alcotest.test_case "healthy merge matches plain" `Quick
-            test_stats_supervised_matches_plain_when_healthy;
         ] );
       ( "security",
         [

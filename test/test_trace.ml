@@ -11,6 +11,7 @@
 
 module Pool = Chex86_harness.Pool
 module Remote = Chex86_harness.Remote
+module Runner = Chex86_harness.Runner
 module Trace = Chex86_harness.Trace
 module Faultinject = Chex86_harness.Faultinject
 module Counter = Chex86_stats.Counter
@@ -25,7 +26,7 @@ let selftest_fn =
 let tasks_n n = Array.init n (fun i -> Printf.sprintf "task-%d" i)
 
 let sweep ?retries ~jobs ~batch_size tasks =
-  Pool.map_stats_supervised_batched ~jobs ~batch_size ?retries ~key:Fun.id
+  Pool.run ~jobs ~batch_size ?retries ~key:Fun.id
     (fun key ctx -> selftest_fn ~key ~arg:"8" ctx)
     tasks
 
@@ -326,6 +327,33 @@ let test_metrics_export () =
              (Histogram.count (List.assoc "selftest.draws" stats.Pool.histograms)))
           draws_n)
 
+(* A local figure prefetch exports the same [pool.*] counters as the
+   worker path (Remote.sweep): one job, one [pool.tasks]. *)
+let test_metrics_export_local_prefetch () =
+  let path = Filename.temp_file "chex86_metrics" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_metrics None;
+      Trace.reset_metrics_for_tests ();
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Trace.reset_metrics_for_tests ();
+      Trace.set_metrics (Some path);
+      let job =
+        Runner.job ~tag:"metrics-export" ~timing:false ~scale:1 Runner.insecure
+          (Chex86_workloads.Workloads.find "mcf")
+      in
+      let report = Runner.prefetch_supervised ~jobs:1 [ job ] in
+      Alcotest.(check int) "job ran" 1 report.Pool.ok;
+      Trace.write_metrics ();
+      match Json.of_string (String.concat "\n" (read_lines path)) with
+      | Error msg -> Alcotest.failf "metrics file unparseable: %s" msg
+      | Ok v ->
+        Alcotest.(check (option int))
+          "pool.tasks exported" (Some 1)
+          (Option.bind (Json.member "counters" v) (Json.member "pool.tasks")
+          |> Fun.flip Option.bind Json.to_int_opt))
+
 let () =
   Alcotest.run "trace"
     [
@@ -346,5 +374,9 @@ let () =
           Alcotest.test_case "worker span stitching" `Quick test_worker_span_stitching;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "export" `Quick test_metrics_export ] );
+        [
+          Alcotest.test_case "export" `Quick test_metrics_export;
+          Alcotest.test_case "local prefetch exports pool counters" `Quick
+            test_metrics_export_local_prefetch;
+        ] );
     ]
